@@ -115,16 +115,9 @@ std::string RecaseSqlTokens(const std::string& payload) {
   return out;
 }
 
-namespace {
-
-struct Candidate {
-  Exploit exploit;
-  std::string strategy;
-};
-
-std::vector<Candidate> TaintlessCandidates(const PluginSpec& plugin,
-                                           const Exploit& original) {
-  std::vector<Candidate> out;
+std::vector<TaintlessCandidate> TaintlessCandidates(const PluginSpec& plugin,
+                                                    const Exploit& original) {
+  std::vector<TaintlessCandidate> out;
 
   // 1. Case-match the original's SQL tokens against the (conventionally
   //    uppercase) application vocabulary.
@@ -184,6 +177,8 @@ std::vector<Candidate> TaintlessCandidates(const PluginSpec& plugin,
   return out;
 }
 
+namespace {
+
 bool PtiSafe(const PluginSpec& plugin, const pti::PtiAnalyzer& pti,
              const Exploit& e) {
   if (pti.Analyze(QueryFor(plugin, e.payload)).attack_detected) return false;
@@ -201,7 +196,7 @@ TaintlessResult RunTaintless(const PluginSpec& plugin,
                              webapp::Application& unprotected_app) {
   TaintlessResult result;
   const Exploit original = OriginalExploit(plugin);
-  for (Candidate& candidate : TaintlessCandidates(plugin, original)) {
+  for (TaintlessCandidate& candidate : TaintlessCandidates(plugin, original)) {
     ++result.candidates_tried;
     if (!PtiSafe(plugin, pti, candidate.exploit)) continue;
     if (!ExploitSucceeds(unprotected_app, plugin, candidate.exploit)) continue;

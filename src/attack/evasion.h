@@ -44,6 +44,16 @@ struct TaintlessResult {
   std::size_t candidates_tried = 0;
 };
 
+struct TaintlessCandidate {
+  Exploit exploit;
+  std::string strategy;
+};
+
+// Every candidate RunTaintless tries for `plugin`, in the order it tries
+// them, built from `original` and the application vocabulary kits.
+std::vector<TaintlessCandidate> TaintlessCandidates(const PluginSpec& plugin,
+                                                    const Exploit& original);
+
 // Runs Taintless against one plugin: generates candidates from the
 // application vocabulary, keeps the first that (a) PTI deems safe and
 // (b) still succeeds end-to-end against the unprotected application.

@@ -297,19 +297,16 @@ Verdict Joza::CheckViews(std::string_view query,
       resolved = true;  // safe
     }
 
+    // The structure key hashes the tokens already lexed (no parse), and
+    // only on a query-cache miss; a PTI-safe verdict below inserts it.
     std::uint64_t shash = 0;
-    bool have_shash = false;
     if (!resolved && config_.structure_cache) {
-      auto parsed = sql::StructureHashOf(query, ctx.tokens);
-      if (parsed.ok()) {
-        shash = HashCombine(parsed.value(), snap.version);
-        have_shash = true;
-        if (state_->structure_cache.Lookup(shash)) {
-          state_->stats.structure_cache_hits.fetch_add(
-              1, std::memory_order_relaxed);
-          verdict.structure_cache_hit = true;
-          resolved = true;  // same shape as a previously PTI-safe query
-        }
+      shash = HashCombine(sql::SkeletonHash(ctx.tokens), snap.version);
+      if (state_->structure_cache.Lookup(shash)) {
+        state_->stats.structure_cache_hits.fetch_add(
+            1, std::memory_order_relaxed);
+        verdict.structure_cache_hit = true;
+        resolved = true;  // same shape as a previously PTI-safe query
       }
     }
 
@@ -322,16 +319,7 @@ Verdict Joza::CheckViews(std::string_view query,
         pti_safe = !verdict.pti.attack_detected;
         if (pti_safe) {
           if (config_.query_cache) state_->query_cache.Insert(qhash);
-          if (config_.structure_cache) {
-            if (!have_shash) {
-              auto parsed = sql::StructureHashOf(query, ctx.tokens);
-              if (parsed.ok()) {
-                shash = HashCombine(parsed.value(), snap.version);
-                have_shash = true;
-              }
-            }
-            if (have_shash) state_->structure_cache.Insert(shash);
-          }
+          if (config_.structure_cache) state_->structure_cache.Insert(shash);
         }
       } else {
         // No PTI verdict: degraded-mode policy decides. Never cache —

@@ -3,9 +3,9 @@
 // Every query the application issues is checked by PTI first, then NTI; it
 // is safe iff both deem it safe. Two caches accelerate PTI: the query
 // cache (exact query text of previously-safe queries) and the structure
-// cache (AST shape with data nodes blanked — safe because injected SQL
-// always alters the shape). NTI is never cached: its verdict depends on
-// the request's inputs.
+// cache (token skeleton with data values blanked — safe because injected
+// SQL always alters the skeleton). NTI is never cached: its verdict
+// depends on the request's inputs.
 //
 // Thread safety: Check(), MakeGate()'s gate, stats() and OnSourcesChanged()
 // may be called concurrently from any number of threads (the gateway shares
@@ -385,8 +385,8 @@ class Joza {
     // Query cache: hashes of exact query strings previously PTI-safe
     // (salted with the snapshot version they were proven under).
     ShardedSafetyCache query_cache;
-    // Structure cache: AST-structure hashes of previously PTI-safe queries
-    // (same version salt).
+    // Structure cache: token-skeleton hashes of previously PTI-safe
+    // queries (same version salt).
     ShardedSafetyCache structure_cache;
     AtomicStats stats;
     // Counter snapshot subtracted by ResetStats (cache eviction counters

@@ -1,8 +1,6 @@
 #include "sqlparse/keywords.h"
 
 #include <algorithm>
-#include <array>
-#include <string>
 #include <vector>
 
 #include "sqlparse/lexer.h"
@@ -12,60 +10,34 @@ namespace joza::sql {
 
 namespace {
 
-// Sorted uppercase keyword list (binary-searched; sortedness is unit-tested).
-// MySQL-flavoured subset covering everything WordPress-class applications and
-// the attack corpus use.
-constexpr std::array<std::string_view, 76> kKeywords = {
-    "ALL",       "ALTER",     "AND",        "AS",        "ASC",
-    "AUTO_INCREMENT",         "BEGIN",      "BETWEEN",   "BY",
-    "CASCADE",   "CASE",      "COLLATE",    "COLUMN",    "COMMIT",
-    "CREATE",    "CROSS",     "DEFAULT",    "DELETE",    "DESC",
-    "DISTINCT",  "DROP",      "ELSE",       "END",       "ESCAPE",
-    "EXISTS",    "FALSE",     "FOREIGN",    "FROM",      "FULL",
-    "GRANT",     "GROUP",     "HAVING",     "IN",        "INDEX",
-    "INNER",     "INSERT",    "INTERVAL",   "INTO",      "IS",
-    "JOIN",      "KEY",       "LEFT",       "LIKE",      "LIMIT",
-    "NOT",       "NULL",      "OFFSET",     "ON",        "OR",
-    "ORDER",     "OUTER",     "PRIMARY",    "PROCEDURE", "REFERENCES",
-    "REGEXP",    "RENAME",    "REPLACE",    "REVOKE",    "RIGHT",
-    "ROLLBACK",  "SELECT",    "SET",        "SHOW",      "TABLE",
-    "THEN",      "TRUE",      "TRUNCATE",   "UNION",     "UNIQUE",
-    "UPDATE",    "USING",     "VALUES",     "WHEN",      "WHERE",
-    "WHILE",     "XOR",
-};
-
-// Sorted uppercase builtin function names.
-constexpr std::array<std::string_view, 45> kFunctions = {
-    "ABS",       "ASCII",        "AVG",         "BENCHMARK",  "CAST",
-    "CEIL",      "CHAR",         "CHAR_LENGTH", "COALESCE",   "CONCAT",
-    "CONCAT_WS", "CONVERT",      "COUNT",       "CURDATE",    "CURRENT_USER",
-    "DATABASE",  "EXTRACTVALUE", "FLOOR",       "GROUP_CONCAT", "HEX",
-    "IF",        "IFNULL",       "INSTR",       "LENGTH",     "LOWER",
-    "LTRIM",     "MAX",          "MD5",         "MID",        "MIN",
-    "NOW",       "RAND",         "ROUND",       "RTRIM",      "SLEEP",
-    "SUBSTR",    "SUBSTRING",    "SUM",         "TRIM",       "UNHEX",
-    "UPDATEXML", "UPPER",        "USER",        "USERNAME",   "VERSION",
-};
-
+// InSortedTable's contract: sorted, and every entry fits its buffer.
 template <std::size_t N>
-bool SortedContains(const std::array<std::string_view, N>& arr,
-                    std::string_view upper) {
-  auto it = std::lower_bound(arr.begin(), arr.end(), upper);
-  return it != arr.end() && *it == upper;
+constexpr bool ValidLookupTable(const std::array<std::string_view, N>& table) {
+  for (std::string_view w : table) {
+    if (w.size() > kMaxKeywordBytes) return false;
+  }
+  return std::is_sorted(table.begin(), table.end());
 }
+
+static_assert(ValidLookupTable(kKeywords));
+static_assert(ValidLookupTable(kFunctions));
 
 }  // namespace
 
-bool IsKeyword(std::string_view word) {
-  if (word.size() > 16) return false;
-  std::string upper = ToUpper(word);
-  return SortedContains(kKeywords, upper);
+bool InSortedTable(std::span<const std::string_view> sorted_upper,
+                   std::string_view word) {
+  if (word.size() > kMaxKeywordBytes) return false;
+  char buf[kMaxKeywordBytes] = {};
+  for (std::size_t i = 0; i < word.size(); ++i) buf[i] = AsciiToUpper(word[i]);
+  const std::string_view upper(buf, word.size());
+  auto it = std::lower_bound(sorted_upper.begin(), sorted_upper.end(), upper);
+  return it != sorted_upper.end() && *it == upper;
 }
 
+bool IsKeyword(std::string_view word) { return InSortedTable(kKeywords, word); }
+
 bool IsBuiltinFunction(std::string_view word) {
-  if (word.size() > 16) return false;
-  std::string upper = ToUpper(word);
-  return SortedContains(kFunctions, upper);
+  return InSortedTable(kFunctions, word);
 }
 
 bool ContainsSqlToken(std::string_view text) {

@@ -16,6 +16,9 @@ class Lexer {
 
   std::vector<Token> Run() {
     std::vector<Token> out;
+    // About one token per four bytes of SQL, so typical queries lex without
+    // regrowing the vector.
+    out.reserve(src_.size() / 4 + 1);
     while (pos_ < src_.size()) {
       SkipWhitespace();
       if (pos_ >= src_.size()) break;

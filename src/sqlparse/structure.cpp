@@ -158,6 +158,16 @@ class StructureHasher {
   std::uint64_t h_ = kFnvOffset;
 };
 
+// Fnv1a64 of the ASCII-uppercased bytes, without materializing them.
+std::uint64_t Fnv1a64Upper(std::string_view s) {
+  std::uint64_t h = kFnvOffset;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(AsciiToUpper(c));
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 }  // namespace
 
 std::uint64_t StructureHash(const Statement& stmt) {
@@ -177,18 +187,22 @@ StatusOr<std::uint64_t> StructureHashOf(std::string_view query,
   return StructureHash(stmt.value());
 }
 
-std::uint64_t TokenSkeletonHash(std::string_view query) {
+std::uint64_t SkeletonHash(const std::vector<Token>& tokens) {
   std::uint64_t h = kFnvOffset ^ 0xabcdef;  // domain-separated from AST hash
-  for (const Token& t : Lex(query)) {
+  for (const Token& t : tokens) {
     h = HashCombine(h, static_cast<std::uint64_t>(t.kind));
     switch (t.kind) {
       case TokenKind::kNumber:
-      case TokenKind::kString:
         break;  // blank data
+      case TokenKind::kString:
+        // Blank the contents but keep the delimiter: PTI's critical units
+        // include the quote bytes, so 'x' and "x" are different shapes.
+        h = HashCombine(h, static_cast<unsigned char>(t.text.front()));
+        break;
       case TokenKind::kKeyword:
       case TokenKind::kFunction:
       case TokenKind::kIdentifier:
-        h = HashCombine(h, Fnv1a64(ToUpper(t.text)));
+        h = HashCombine(h, Fnv1a64Upper(t.text));
         break;
       default:
         h = HashCombine(h, Fnv1a64(t.text));
@@ -196,6 +210,10 @@ std::uint64_t TokenSkeletonHash(std::string_view query) {
     }
   }
   return h;
+}
+
+std::uint64_t TokenSkeletonHash(std::string_view query) {
+  return SkeletonHash(Lex(query));
 }
 
 std::string TokenSkeleton(std::string_view query) {

@@ -1,10 +1,15 @@
 // Query-structure fingerprinting for Joza's structure cache (Section VI-A).
 //
 // Two queries that differ only in the *contents* of data nodes (number and
-// string literals) have the same structure hash. Any injected SQL changes
-// the token skeleton — additional keywords, operators or comments alter the
-// parse tree — and therefore changes the hash, so a cache hit on a
-// previously-safe structure is itself safe.
+// string literals) share a structure key. Any injected SQL changes the
+// token skeleton — additional keywords, operators or comments — and
+// therefore changes the key, so a cache hit on a previously-safe structure
+// is itself safe.
+//
+// The engine keys its structure cache with SkeletonHash, computed over the
+// tokens the check has already lexed: no parse, no allocation. The AST
+// hash (StructureHash / StructureHashOf) keys on the parse tree, as the
+// paper does; it drops comments, so the check path does not use it.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +34,15 @@ StatusOr<std::uint64_t> StructureHashOf(std::string_view query);
 StatusOr<std::uint64_t> StructureHashOf(std::string_view query,
                                         const std::vector<Token>& tokens);
 
-// Token-skeleton fallback used when a query does not parse: the sequence of
-// token kinds and critical-token texts with literal contents blanked. Never
-// fails. Distinct from StructureHash's domain (the two are never compared).
+// The structure-cache key: every token's kind, plus the text of every
+// non-data token (keywords, functions and identifiers case-insensitively,
+// comments and operators byte for byte) and the opening quote byte of
+// each string literal. Number and string-literal contents are left out.
+// Never fails. Distinct from StructureHash's domain (the two are never
+// compared).
+std::uint64_t SkeletonHash(const std::vector<Token>& tokens);
+
+// SkeletonHash(Lex(query)).
 std::uint64_t TokenSkeletonHash(std::string_view query);
 
 // Human-readable skeleton, e.g. "SELECT * FROM <id> WHERE <id> = <num>".

@@ -189,48 +189,54 @@ Fleet::TenantEntry* Fleet::PickVictimLocked(const TenantEntry* exclude) {
 Status Fleet::DemoteLocked(std::unique_lock<std::mutex>& lock,
                            TenantEntry& entry) {
   if (!entry.hot) return Status::Ok();
-  entry.demoting = true;
   std::shared_ptr<EngineHandle> handle = entry.hot;  // alive across the I/O
-  lock.unlock();
-
-  // Serialize the tenant's published ruleset through the crash-durable
-  // codec. The engine stays fully serviceable during the write — racing
-  // checks hold their own pins — so nothing here is on any request's
-  // critical path except the promoter waiting for the freed bytes.
   const std::shared_ptr<const core::RulesetSnapshot> snapshot =
       handle->engine->ruleset();
   const std::uint64_t version = snapshot->version;
-  const std::string image =
-      resilience::EncodeRulesetSnapshot(snapshot->pti->fragments(), version);
-  const std::string path = ColdPath(entry.id);
-  Status persisted = util::WriteFileDurable(path, image);
-  util::MmapResource mapped;
-  if (persisted.ok()) {
-    auto m = util::MmapResource::Map(path);
-    if (m.ok()) {
-      mapped = std::move(m).value();
-    } else {
-      persisted = m.status();
-    }
-  }
-  const core::JozaStats final_stats = handle->engine->stats();
 
-  lock.lock();
-  entry.demoting = false;
-  if (!persisted.ok()) {
-    // The cold store refused the image: keep the tenant hot (dropping the
-    // engine would lose the vocabulary — fail-closed means refusing the
-    // demotion, not the tenant's future requests).
-    cv_.notify_all();
-    return persisted;
+  // A tenant whose ruleset has not changed since its last demotion still
+  // holds that image mapped: keep it. Rewriting an identical image costs an
+  // encode, an fsync and the free of the old file, which on a disk with
+  // online discard takes tens of milliseconds.
+  if (!entry.has_cold || entry.version != version) {
+    entry.demoting = true;
+    lock.unlock();
+
+    // Serialize the tenant's published ruleset through the crash-durable
+    // codec. The engine stays fully serviceable during the write — racing
+    // checks hold their own pins — so nothing here is on any request's
+    // critical path except the promoter waiting for the freed bytes.
+    const std::string image =
+        resilience::EncodeRulesetSnapshot(snapshot->pti->fragments(), version);
+    const std::string path = ColdPath(entry.id);
+    Status persisted = util::WriteFileDurable(path, image);
+    util::MmapResource mapped;
+    if (persisted.ok()) {
+      auto m = util::MmapResource::Map(path);
+      if (m.ok()) {
+        mapped = std::move(m).value();
+      } else {
+        persisted = m.status();
+      }
+    }
+
+    lock.lock();
+    entry.demoting = false;
+    if (!persisted.ok()) {
+      // The cold store refused the image: keep the tenant hot (dropping the
+      // engine would lose the vocabulary — fail-closed means refusing the
+      // demotion, not the tenant's future requests).
+      cv_.notify_all();
+      return persisted;
+    }
+    entry.version = version;
+    entry.cold = std::move(mapped);
+    entry.has_cold = true;
+    entry.seed = php::FragmentSet();  // the cold image is authoritative now
+    entry.bytes_estimate =
+        EstimateFromContentBytes(image.size(), options_.engine);
   }
-  entry.accum += final_stats;
-  entry.version = version;
-  entry.cold = std::move(mapped);
-  entry.has_cold = true;
-  entry.seed = php::FragmentSet();  // the cold image is authoritative now
-  entry.bytes_estimate =
-      EstimateFromContentBytes(image.size(), options_.engine);
+  entry.accum += handle->engine->stats();
   entry.hot.reset();  // in-flight pins keep the engine alive (RCU)
   entry.resident = false;
   resident_bytes_ -= entry.charged_bytes;

@@ -190,7 +190,8 @@ class Fleet {
   // seed vocabulary. Called with the fleet lock released; the entry's
   // promoting flag keeps its tier fields stable.
   StatusOr<std::shared_ptr<EngineHandle>> BuildHandle(TenantEntry& entry);
-  // Serializes `entry`'s ruleset into the cold store and drops the hot
+  // Serializes `entry`'s ruleset into the cold store, unless the image
+  // already mapped there is at the same ruleset version, and drops the hot
   // handle. Lock held on entry and exit; released around the I/O.
   Status DemoteLocked(std::unique_lock<std::mutex>& lock,
                       TenantEntry& entry);

@@ -4,27 +4,6 @@
 
 namespace joza {
 
-char AsciiToLower(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-char AsciiToUpper(char c) {
-  return (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
-}
-
-bool IsAsciiSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
-
-bool IsAsciiAlpha(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-}
-
-bool IsAsciiAlnum(char c) { return IsAsciiDigit(c) || IsAsciiAlpha(c); }
-
 std::string ToLower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), AsciiToLower);

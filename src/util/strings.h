@@ -7,12 +7,29 @@
 
 namespace joza {
 
-char AsciiToLower(char c);
-char AsciiToUpper(char c);
-bool IsAsciiSpace(char c);
-bool IsAsciiDigit(char c);
-bool IsAsciiAlpha(char c);
-bool IsAsciiAlnum(char c);
+// Byte classifiers. Inline: the SQL lexer calls them for every byte.
+constexpr char AsciiToLower(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+constexpr char AsciiToUpper(char c) {
+  return (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
+
+constexpr bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+
+constexpr bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+constexpr bool IsAsciiAlnum(char c) {
+  return IsAsciiDigit(c) || IsAsciiAlpha(c);
+}
 
 std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);

@@ -65,6 +65,8 @@ TEST_P(FuzzTest, LexerTotalOnRandomBytes) {
       EXPECT_GE(t.span.begin, prev_end);
       prev_end = t.span.end;
     }
+    // The structure-cache key reads every token, including kError ones.
+    EXPECT_EQ(sql::SkeletonHash(tokens), sql::TokenSkeletonHash(s));
   }
 }
 

@@ -5,6 +5,7 @@
 // runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +208,74 @@ TEST(Fleet, OnSourcesChangedOnColdTenantFailsCleanly) {
   EXPECT_FALSE(
       fleet.OnSourcesChanged("alpha", {{"u.php", "$q = 'SELECT 1';"}}).ok())
       << "cold tenants take updates on promotion, not in place";
+}
+
+// The cold image's file identity: a durable rewrite (write-tmp, rename)
+// always yields a new inode.
+struct ImageId {
+  ino_t inode = 0;
+  std::int64_t mtime_ns = 0;
+  bool operator==(const ImageId&) const = default;
+};
+
+ImageId StatImage(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  const std::int64_t mtime_ns =
+      static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+      st.st_mtim.tv_nsec;
+  return {st.st_ino, mtime_ns};
+}
+
+TEST(Fleet, RedemotionAtUnchangedVersionKeepsColdImage) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  tenant::Fleet fleet(ColdCapableOptions(dir));
+  ASSERT_TRUE(fleet.AddTenant("alpha", TinySeed("alpha")).ok());
+  const std::string image = dir.path + "/alpha.ruleset";
+
+  ASSERT_TRUE(fleet.Acquire("alpha").ok());
+  ASSERT_TRUE(fleet.Demote("alpha").ok());
+  const ImageId first = StatImage(image);
+  ASSERT_TRUE(fleet.Acquire("alpha").ok());  // promote from the image
+  ASSERT_TRUE(fleet.Demote("alpha").ok());
+  EXPECT_EQ(StatImage(image), first)
+      << "an unchanged ruleset must not rewrite its cold image";
+  EXPECT_EQ(fleet.stats().demotions, 2u);
+  EXPECT_EQ(fleet.stats().resident, 0u);
+
+  // The kept mapping still promotes.
+  auto pin = fleet.Acquire("alpha");
+  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  EXPECT_EQ(pin.value()->ruleset_version(), 0u);
+}
+
+TEST(Fleet, RedemotionAfterSourcesChangedRewritesColdImage) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  tenant::Fleet fleet(ColdCapableOptions(dir));
+  ASSERT_TRUE(fleet.AddTenant("alpha", TinySeed("alpha")).ok());
+  const std::string image = dir.path + "/alpha.ruleset";
+
+  ASSERT_TRUE(fleet.Acquire("alpha").ok());
+  ASSERT_TRUE(fleet.Demote("alpha").ok());
+  const ImageId first = StatImage(image);
+  ASSERT_TRUE(fleet.Acquire("alpha").ok());
+  ASSERT_TRUE(
+      fleet.OnSourcesChanged("alpha", {{"u.php", "$q = 'SELECT 1';"}}).ok());
+  ASSERT_TRUE(fleet.Demote("alpha").ok());
+  EXPECT_NE(StatImage(image).inode, first.inode)
+      << "a new ruleset version must be written to the cold store";
+
+  std::ifstream in(image, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  auto parsed = resilience::ParseRulesetSnapshot(bytes.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().version, 1u);
+  auto pin = fleet.Acquire("alpha");
+  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  EXPECT_EQ(pin.value()->ruleset_version(), 1u);
 }
 
 // ---------------------------------------------------------------------------
