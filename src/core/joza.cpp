@@ -231,6 +231,15 @@ void Joza::OnSourcesChanged(const std::vector<php::SourceFile>& files) {
   }
 }
 
+const std::vector<sql::Token>& Joza::AnalysisContext::Tokens() {
+  if (!lexed) {
+    tokens = sql::Lex(query);
+    lexed = true;
+  }
+  return tokens;
+}
+
+// Called on the cache-miss path, after ctx.Tokens() has lexed the query.
 StatusOr<pti::PtiResult> Joza::RunPti(const AnalysisContext& ctx) {
   state_->stats.pti_full_runs.fetch_add(1, std::memory_order_relaxed);
   if (pti_backend_) {
@@ -271,13 +280,14 @@ Verdict Joza::CheckViews(std::string_view query,
                          const std::vector<http::InputView>& inputs,
                          util::Deadline deadline) {
   // Single-pass pipeline: pin the snapshot (one atomic load — the only
-  // synchronization on this path), lex exactly once, then thread the
-  // shared working set through caches, PTI and NTI.
+  // synchronization on this path), then thread the shared working set
+  // through caches, PTI and NTI. The query is lexed at most once, and only
+  // when a layer needs tokens: a query-cache hit whose inputs leave no
+  // taint marking never lexes.
   AnalysisContext ctx;
   ctx.query = query;
   ctx.snapshot = state_->snapshot.Load();
   ctx.deadline = deadline;
-  ctx.tokens = sql::Lex(query);
   const RulesetSnapshot& snap = *ctx.snapshot;
 
   state_->stats.queries_checked.fetch_add(1, std::memory_order_relaxed);
@@ -297,22 +307,26 @@ Verdict Joza::CheckViews(std::string_view query,
       resolved = true;  // safe
     }
 
-    // The structure key hashes the tokens already lexed (no parse), and
-    // only on a query-cache miss; a PTI-safe verdict below inserts it.
+    // The structure key hashes the check's tokens (no parse), and only on
+    // a query-cache miss; a PTI-safe verdict below inserts it. A hit
+    // promotes this text into the query cache: its skeleton is a pure
+    // function of the text, so the entry asserts nothing the structure
+    // cache did not already assert (DESIGN.md §5.1).
     std::uint64_t shash = 0;
     if (!resolved && config_.structure_cache) {
-      shash = HashCombine(sql::SkeletonHash(ctx.tokens), snap.version);
+      shash = HashCombine(sql::SkeletonHash(ctx.Tokens()), snap.version);
       if (state_->structure_cache.Lookup(shash)) {
         state_->stats.structure_cache_hits.fetch_add(
             1, std::memory_order_relaxed);
         verdict.structure_cache_hit = true;
         resolved = true;  // same shape as a previously PTI-safe query
+        if (config_.query_cache) state_->query_cache.Insert(qhash);
       }
     }
 
     if (!resolved) {
-      ctx.pti_units =
-          sql::BuildCriticalUnits(ctx.tokens, snap.pti->config().strict_tokens);
+      ctx.pti_units = sql::BuildCriticalUnits(
+          ctx.Tokens(), snap.pti->config().strict_tokens);
       auto pti_or = RunPti(ctx);
       if (pti_or.ok()) {
         verdict.pti = std::move(pti_or).value();
@@ -344,9 +358,14 @@ Verdict Joza::CheckViews(std::string_view query,
   bool nti_safe = true;
   if (config_.enable_nti) {
     state_->stats.nti_runs.fetch_add(1, std::memory_order_relaxed);
-    ctx.nti_critical = sql::CriticalTokens(ctx.tokens, snap.nti.strict_tokens);
-    verdict.nti = nti::NtiAnalyzer(snap.nti)
-                      .AnalyzeCritical(query, ctx.nti_critical, inputs);
+    verdict.nti = nti::NtiAnalyzer(snap.nti).MarkInputs(query, inputs);
+    // Only a marking can cover a critical token, and benign inputs rarely
+    // leave one, so the critical tokens are derived only then.
+    if (!verdict.nti.markings.empty()) {
+      ctx.nti_critical =
+          sql::CriticalTokens(ctx.Tokens(), snap.nti.strict_tokens);
+      nti::ApplyWholeTokenRule(ctx.nti_critical, verdict.nti);
+    }
     nti_safe = !verdict.nti.attack_detected;
     AtomicStats& a = state_->stats;
     a.nti_exact_hits.fetch_add(verdict.nti.exact_hits,

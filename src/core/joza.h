@@ -331,15 +331,20 @@ class Joza {
 
  private:
   // Per-query working set of the single-pass pipeline: the query is lexed
-  // exactly once and every derived view (critical units for PTI, critical
-  // tokens for NTI) is computed at most once and shared by all layers.
+  // at most once, on first use, and every derived view (critical units for
+  // PTI, critical tokens for NTI) is computed at most once and shared by
+  // all layers.
   struct AnalysisContext {
     std::string_view query;
     std::shared_ptr<const RulesetSnapshot> snapshot;
     util::Deadline deadline;
-    std::vector<sql::Token> tokens;          // the one and only Lex
+    std::vector<sql::Token> tokens;  // valid once Tokens() has run
+    bool lexed = false;
     std::vector<sql::CriticalUnit> pti_units;  // per snapshot->pti policy
     std::vector<sql::Token> nti_critical;      // per snapshot->nti policy
+
+    // The one and only Lex of `query`, on first call.
+    const std::vector<sql::Token>& Tokens();
   };
 
   // Per-field atomic mirror of JozaStats, relaxed increments on the hot

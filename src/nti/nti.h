@@ -130,7 +130,7 @@ class NtiAnalyzer {
   NtiResult Analyze(std::string_view query,
                     const std::vector<http::Input>& inputs) const;
 
-  // The single-pass hot path: `critical` must be
+  // MarkInputs then ApplyWholeTokenRule: `critical` must be
   // sql::CriticalTokens(tokens, config().strict_tokens) for the lex of
   // `query` — computed once per request and shared, never re-derived here.
   // The view overload is the zero-copy entry: the views borrow from the
@@ -145,8 +145,23 @@ class NtiAnalyzer {
                             const std::vector<sql::Token>& critical,
                             const std::vector<http::Input>& inputs) const;
 
+  // AnalyzeCritical's two stages. MarkInputs matches every input against
+  // the query's bytes and records the taint markings; it needs no tokens.
+  // ApplyWholeTokenRule then reads the critical tokens, and only a result
+  // with markings can change under it — so a caller with no markings never
+  // needs to lex the query at all.
+  NtiResult MarkInputs(std::string_view query,
+                       const std::vector<http::InputView>& inputs) const;
+
  private:
   NtiConfig config_;
 };
+
+// Whole-token rule over `result`'s markings: a marking is an attack only if
+// it fully covers at least one of `critical` (the query's critical tokens).
+// Markings from different inputs are never combined (that would flood
+// false positives; Section III-A).
+void ApplyWholeTokenRule(const std::vector<sql::Token>& critical,
+                         NtiResult& result);
 
 }  // namespace joza::nti

@@ -48,21 +48,22 @@ MatcherPipeline::MatcherPipeline(std::string_view query,
   // Stage 1 (exact, batch path): an admission batch installed a shared
   // automaton over every batched request's values — resolve against it
   // (one cached scan per distinct query) and fall through to the
-  // per-check planner only for values the batch never saw.
-  std::vector<std::size_t> unresolved;
-  if (BatchMatchContext* batch = BatchMatchContext::Current()) {
+  // per-check planner only for values the batch never saw. With no batch
+  // scope every eligible input is unresolved, and no list is built.
+  std::vector<std::size_t> batch_misses;
+  BatchMatchContext* batch = BatchMatchContext::Current();
+  if (batch) {
     for (std::size_t index : eligible) {
       std::size_t pos = kNpos;
       if (batch->Lookup(query_, inputs_[index].value, &pos)) {
         exact_pos_[index] = pos;
         ++stats.planner_exact_batch;
       } else {
-        unresolved.push_back(index);
+        batch_misses.push_back(index);
       }
     }
-  } else {
-    unresolved = eligible;
   }
+  const std::vector<std::size_t>& unresolved = batch ? batch_misses : eligible;
 
   // Stage 1 (exact, per-check path): resolve each remaining input's
   // earliest exact occurrence. Strategy — one multi-pattern scan vs

@@ -16,6 +16,7 @@
 #include "attack/workload.h"
 #include "core/joza.h"
 #include "pti/pti.h"
+#include "sqlparse/critical.h"
 #include "sqlparse/lexer.h"
 #include "sqlparse/structure.h"
 #include "util/rng.h"
@@ -229,6 +230,20 @@ TEST(StructureCacheSoundness, NoUnsafeQuerySharesAKeyWithASafeOne) {
       EXPECT_FALSE(pti_unsafe(q)) << q;
     }
   }
+
+  // Structure hits promote texts into the query cache. After the sweep,
+  // every text the warm engine answers from the query cache — benign or
+  // attack, inserted by PTI or promoted — is PTI-safe under a fresh
+  // analysis of its own critical units.
+  std::size_t query_cache_answers = 0;
+  for (const std::string& q : queries) {
+    if (!joza.Check(q, {}).query_cache_hit) continue;
+    ++query_cache_answers;
+    const auto units =
+        sql::BuildCriticalUnits(sql::Lex(q), rules.config().strict_tokens);
+    EXPECT_FALSE(pti::AnalyzeUnits(rules, q, units).attack_detected) << q;
+  }
+  EXPECT_GT(query_cache_answers, 0u);
 }
 
 // End-to-end: after the structure cache is warmed with benign traffic on

@@ -114,6 +114,32 @@ TEST(Caches, StructureCacheCoversDataVariants) {
   EXPECT_EQ(joza.stats().pti_full_runs, 1u);
 }
 
+TEST(Caches, StructureHitPromotesTextIntoQueryCache) {
+  Joza joza(RichFragments());
+  const std::string a = "SELECT * FROM records WHERE ID=17 LIMIT 5";
+  const std::string b = "SELECT * FROM records WHERE ID=99 LIMIT 5";
+  joza.Check(a, {});
+  EXPECT_TRUE(joza.Check(b, {}).structure_cache_hit);
+
+  // The structure hit inserted B's own text: the next check of B resolves
+  // at the first probe.
+  const Verdict v = joza.Check(b, {});
+  EXPECT_TRUE(v.query_cache_hit);
+  EXPECT_FALSE(v.structure_cache_hit);
+  EXPECT_FALSE(v.attack);
+  EXPECT_EQ(joza.stats().pti_full_runs, 1u);
+  EXPECT_EQ(joza.stats().query_cache_hits, 1u);
+  EXPECT_EQ(joza.stats().structure_cache_hits, 1u);
+
+  // A promoted entry is salted with the version like any other: after a
+  // source update B misses both caches and PTI re-runs.
+  joza.OnSourcesChanged({{"new_plugin.php", "$q = 'SELECT 1';"}});
+  const Verdict after = joza.Check(b, {});
+  EXPECT_FALSE(after.query_cache_hit);
+  EXPECT_FALSE(after.structure_cache_hit);
+  EXPECT_EQ(joza.stats().pti_full_runs, 2u);
+}
+
 TEST(Caches, InjectedQueryNeverHitsCaches) {
   Joza joza(RichFragments());
   auto v1 = joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5",
@@ -195,9 +221,10 @@ TEST(Snapshot, VersionBumpsAndIsStampedEverywhere) {
 }
 
 TEST(Snapshot, ExactlyOneLexPerCheck) {
-  // The single-pass pipeline lexes once per Check and threads the tokens
-  // through structure hashing, parsing, NTI and PTI — cold, cached and
-  // attack paths alike.
+  // The single-pass pipeline lexes at most once per Check and threads the
+  // tokens through structure hashing, NTI and PTI. Cold, attack and
+  // unparseable paths lex exactly once; a query-cache hit with no taint
+  // marking needs no tokens and never lexes.
   Joza joza(RichFragments());
   const std::string q = "SELECT * FROM records WHERE ID=17 LIMIT 5";
 
@@ -208,7 +235,7 @@ TEST(Snapshot, ExactlyOneLexPerCheck) {
   before = sql::LexCallsForTest();
   auto v = joza.Check(q, {});  // warm: query-cache hit
   EXPECT_TRUE(v.query_cache_hit);
-  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
+  EXPECT_EQ(sql::LexCallsForTest() - before, 0u);
 
   before = sql::LexCallsForTest();
   v = joza.Check("SELECT * FROM records WHERE ID=1 UNION SELECT 9 LIMIT 5",
@@ -218,6 +245,51 @@ TEST(Snapshot, ExactlyOneLexPerCheck) {
 
   before = sql::LexCallsForTest();
   joza.Check("SELECT * FROM records WHERE ID= LIMIT", {});  // unparseable
+  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
+}
+
+TEST(Snapshot, QueryCacheHitWithUnmarkedInputNeverLexes) {
+  Joza joza(RichFragments());
+  const std::string q = "SELECT * FROM records WHERE ID=17 LIMIT 5";
+  joza.Check(q, {Get("id", "17")});
+
+  // "zzzzzz" occurs nowhere in the query: NTI runs but leaves no marking,
+  // so no layer needs the query's tokens.
+  const std::uint64_t before = sql::LexCallsForTest();
+  const Verdict v = joza.Check(q, {Get("q", "zzzzzz")});
+  EXPECT_TRUE(v.query_cache_hit);
+  EXPECT_FALSE(v.attack);
+  EXPECT_TRUE(v.nti.markings.empty());
+  EXPECT_EQ(sql::LexCallsForTest() - before, 0u);
+  EXPECT_EQ(joza.stats().nti_runs, 2u);
+}
+
+TEST(Snapshot, CachedTextWithCoveringInputLexesOnceAndIsBlocked) {
+  // Figure 4A's query is PTI-safe, so its text enters the query cache. The
+  // same text arriving with the payload as input hits the query cache, and
+  // NTI's marking then needs the critical tokens: one lex, still blocked.
+  Joza joza(RichFragments());
+  const std::string q = "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5";
+  EXPECT_FALSE(joza.Check(q, {}).attack);
+
+  const std::uint64_t before = sql::LexCallsForTest();
+  const Verdict v = joza.Check(q, {Get("id", "1 OR 1 = 1")});
+  EXPECT_TRUE(v.query_cache_hit);
+  EXPECT_TRUE(v.attack);
+  EXPECT_EQ(v.detected_by, DetectedBy::kNti);
+  EXPECT_FALSE(v.nti.tainted_critical_tokens.empty());
+  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
+}
+
+TEST(Snapshot, StructureHitLexesOnce) {
+  Joza joza(RichFragments());
+  joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5", {});
+
+  // The structure key is the token skeleton, so a query-cache miss lexes.
+  const std::uint64_t before = sql::LexCallsForTest();
+  const Verdict v = joza.Check("SELECT * FROM records WHERE ID=99 LIMIT 5",
+                               {Get("id", "99")});
+  EXPECT_TRUE(v.structure_cache_hit);
   EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
 }
 
